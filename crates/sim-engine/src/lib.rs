@@ -7,7 +7,11 @@
 //!   40 Gbps one byte serializes in exactly 200 ps, so integer time keeps
 //!   every simulation bit-reproducible across platforms.
 //! * [`EventQueue`] — a time-ordered event queue with a monotone sequence
-//!   tie-breaker, so same-timestamp events are delivered in FIFO order.
+//!   tie-breaker, so same-timestamp events are delivered in FIFO order;
+//!   [`ArrivalCursor`] merges a run's pre-timed arrivals into the loop
+//!   without queueing them.
+//! * [`FxHashMap`] — a `HashMap` with a cheap integer hasher for the
+//!   per-request maps of the device-level hot path.
 //! * [`stats`] — streaming and batch statistics (mean, variance, squared
 //!   coefficient of variation, skewness, autocorrelation, percentiles)
 //!   used by the workload feature extractor and by metric collection.
@@ -39,8 +43,10 @@
 //! assert_eq!((t, ev), (SimTime::from_us(1), "first"));
 //! ```
 
+pub mod arrivals;
 pub mod checkpoint;
 pub mod faults;
+pub mod hash;
 pub mod queue;
 pub mod rate;
 pub mod rng;
@@ -52,8 +58,10 @@ pub mod time;
 pub mod token_bucket;
 pub mod workspace;
 
+pub use arrivals::{ArrivalCursor, Next};
 pub use checkpoint::{CheckpointSpec, CHECKPOINT_ENV};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultRng, FaultScope};
+pub use hash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use queue::{AdaptiveEventQueue, EventQueue, HeapEventQueue, ADAPTIVE_MIGRATION_THRESHOLD};
 pub use rate::{ByteSize, Rate};
 pub use runner::ScenarioRunner;

@@ -2,7 +2,7 @@
 //! translations. A miss costs an extra mapping-page read on the target
 //! chip (the dominant CMT effect MQSim models).
 
-use std::collections::HashMap;
+use sim_engine::FxHashMap;
 
 /// LRU translation cache keyed by logical page number.
 ///
@@ -13,18 +13,19 @@ use std::collections::HashMap;
 pub struct CachedMappingTable {
     capacity: usize,
     stamp: u64,
-    entries: HashMap<u64, u64>,
+    entries: FxHashMap<u64, u64>,
     hits: u64,
     misses: u64,
 }
 
 impl CachedMappingTable {
-    /// Create with an entry capacity.
+    /// Create with an entry capacity. The table grows as it fills:
+    /// most runs touch a small fraction of the capacity.
     pub fn new(capacity: usize) -> Self {
         CachedMappingTable {
             capacity,
             stamp: 0,
-            entries: HashMap::with_capacity(capacity.min(1 << 20)),
+            entries: FxHashMap::default(),
             hits: 0,
             misses: 0,
         }

@@ -12,7 +12,7 @@
 //! "where does this write land" and "what GC work is now owed"; the SSD
 //! model turns the owed work into timed chip jobs.
 
-use std::collections::HashMap;
+use sim_engine::FxHashMap;
 
 /// A physical page address.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -35,23 +35,18 @@ pub struct GcWork {
     pub moved_pages: usize,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 struct Block {
     /// Next unwritten page index (== pages_per_block when full).
     cursor: usize,
-    /// Which LPN each written page holds; `None` = invalidated.
+    /// Which LPN each written page holds; `None` = invalidated. Empty
+    /// until the block is first programmed, so building a device costs
+    /// nothing per block ([`Ftl::place`] allocates it).
     holder: Vec<Option<u64>>,
     valid: usize,
 }
 
 impl Block {
-    fn new(pages: usize) -> Self {
-        Block {
-            cursor: 0,
-            holder: vec![None; pages],
-            valid: 0,
-        }
-    }
     fn erased(&mut self) {
         self.cursor = 0;
         self.holder.iter_mut().for_each(|h| *h = None);
@@ -71,7 +66,7 @@ struct ChipState {
 pub struct Ftl {
     pages_per_block: usize,
     chips: Vec<ChipState>,
-    map: HashMap<u64, Ppn>,
+    map: FxHashMap<u64, Ppn>,
     /// Round-robin write-striping cursor.
     write_cursor: usize,
     /// Free-block low-watermark per chip that triggers GC.
@@ -104,9 +99,7 @@ impl Ftl {
         );
         let chips = (0..n_chips)
             .map(|_| ChipState {
-                blocks: (0..blocks_per_chip)
-                    .map(|_| Block::new(pages_per_block))
-                    .collect(),
+                blocks: vec![Block::default(); blocks_per_chip],
                 open: 0,
                 free: (1..blocks_per_chip).rev().collect(),
             })
@@ -114,7 +107,7 @@ impl Ftl {
         Ftl {
             pages_per_block,
             chips,
-            map: HashMap::new(),
+            map: FxHashMap::default(),
             write_cursor: 0,
             gc_free_blocks,
             host_programs: 0,
@@ -165,6 +158,9 @@ impl Ftl {
             chip.open = next;
         }
         let block = &mut chip.blocks[chip.open];
+        if block.holder.is_empty() {
+            block.holder = vec![None; ppb];
+        }
         let page = block.cursor;
         block.cursor += 1;
         block.holder[page] = Some(lpn);
@@ -232,7 +228,9 @@ impl Ftl {
     }
 
     /// Internal invariant check: every mapped LPN points at a page that
-    /// holds it, and per-block valid counts agree with holders.
+    /// holds it, per-block valid counts agree with holders, and a block
+    /// is either never programmed (no holder, nothing written) or has a
+    /// full-size holder covering its written pages.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         for (lpn, p) in &self.map {
@@ -244,6 +242,13 @@ impl Ftl {
         }
         for chip in &self.chips {
             for b in &chip.blocks {
+                if b.holder.is_empty() {
+                    assert_eq!((b.cursor, b.valid), (0, 0), "unprogrammed block in use");
+                } else {
+                    assert_eq!(b.holder.len(), self.pages_per_block);
+                    assert!(b.cursor <= self.pages_per_block);
+                    assert!(b.holder[b.cursor..].iter().all(Option::is_none));
+                }
                 assert_eq!(b.valid, b.holder.iter().flatten().count());
             }
         }
@@ -283,6 +288,42 @@ mod tests {
         assert_ne!(a, b, "new physical page on overwrite");
         assert_eq!(f.mapped(), 1);
         f.check_invariants();
+    }
+
+    #[test]
+    fn blocks_are_built_lazily_and_reused_after_erase() {
+        let mut f = small();
+        let programmed = |f: &Ftl| {
+            f.chips
+                .iter()
+                .flat_map(|c| &c.blocks)
+                .filter(|b| !b.holder.is_empty())
+                .count()
+        };
+        f.check_invariants();
+        assert_eq!(programmed(&f), 0, "a fresh device allocates no holders");
+        // Chip 0's blocks in the order they were opened.
+        let mut opened = vec![f.chips[0].open];
+        let mut saw_unprogrammed = false;
+        let mut saw_reopened = false;
+        for i in 0..2000u64 {
+            f.allocate(i % 40);
+            f.check_invariants();
+            let chip = &f.chips[0];
+            saw_unprogrammed |= chip.blocks.iter().any(|b| b.holder.is_empty());
+            if *opened.last().unwrap() != chip.open {
+                saw_reopened |= opened.contains(&chip.open);
+                opened.push(chip.open);
+            }
+        }
+        assert!(
+            saw_unprogrammed,
+            "invariants checked beside never-programmed blocks"
+        );
+        assert!(
+            saw_reopened,
+            "an erased block was reopened and programmed again"
+        );
     }
 
     #[test]

@@ -4,38 +4,39 @@
 use crate::node::{NodeConfig, StorageNode};
 use crate::report::NodeReport;
 use sim_engine::{
-    AdaptiveEventQueue, NullSink, Scratch, SimDuration, SimTime, SimWorkspace, TraceRecord,
-    TraceSink,
+    AdaptiveEventQueue, ArrivalCursor, FxHashMap, Next, NullSink, Scratch, SimDuration, SimTime,
+    SimWorkspace, TraceRecord, TraceSink,
 };
 use ssd_sim::SsdEvent;
-use std::collections::HashMap;
 use workload::{IoType, Trace};
 
 /// Bin width used for runtime throughput series (the paper plots per
 /// millisecond).
 pub const BIN: SimDuration = SimDuration(1_000_000_000); // 1 ms in ps
 
+/// Queued events. Arrivals never enter the queue: they come from the
+/// run's [`ArrivalCursor`].
 enum Ev {
-    Arrival(usize),
     Ssd(SsdEvent),
     SetWeight(u32),
 }
 
 /// Per-worker reusable state for the trace runner (the device-level
 /// analogue of system-sim's workspace scratch): the event queue, the
-/// SSD step buffer, and the submit-time map keep their allocations
-/// across runs. `reset` restores observable `Default`, keeping heap
-/// capacity.
+/// arrival cursor, the SSD step buffer and the submit-time map keep
+/// their allocations across runs. `reset` empties each of them.
 #[derive(Default)]
 struct TraceScratch {
     queue: AdaptiveEventQueue<Ev>,
+    arrivals: ArrivalCursor,
     step: ssd_sim::SsdStep,
-    submit_time: HashMap<u64, SimTime>,
+    submit_time: FxHashMap<u64, SimTime>,
 }
 
 impl Scratch for TraceScratch {
     fn reset(&mut self) {
         self.queue.reset();
+        self.arrivals.load([]);
         self.step.clear();
         self.submit_time.clear();
     }
@@ -66,10 +67,11 @@ pub fn run_trace_windowed(cfg: &NodeConfig, trace: &Trace) -> NodeReport {
 }
 
 /// [`run_trace_windowed`] against caller-provided per-worker scratch
-/// storage (event queue, step buffer, submit-time map): the form sweep
-/// workers use so every cell after a worker's first reuses the same
-/// allocations. The scratch is fully reset at the start of every run,
-/// so the report is identical to [`run_trace_windowed`]'s.
+/// storage (event queue, arrival cursor, step buffer, submit-time
+/// map): the form sweep workers use so every cell after a worker's
+/// first reuses the same allocations. The scratch is fully reset at
+/// the start of every run, so the report is identical to
+/// [`run_trace_windowed`]'s.
 pub fn run_trace_windowed_in(cfg: &NodeConfig, trace: &Trace, ws: &mut SimWorkspace) -> NodeReport {
     run_trace_impl(cfg, trace, &[], Some(trace.span()), ws, &mut NullSink)
 }
@@ -135,33 +137,32 @@ fn run_trace_impl(
     scratch.reset();
     let TraceScratch {
         queue: q,
+        arrivals,
         step,
         submit_time,
     } = scratch;
     let mut report = NodeReport::new(BIN);
 
-    for (i, r) in trace.requests().iter().enumerate() {
-        q.schedule(r.arrival, Ev::Arrival(i));
-    }
+    arrivals.load(trace.requests().iter().map(|r| r.arrival));
     for &(t, w) in weight_schedule {
         q.schedule(t, Ev::SetWeight(w));
     }
 
-    while let Some((now, ev)) = q.pop() {
+    while let Some((now, next)) = arrivals.pop(q.peek_time(), || q.pop()) {
         if let Some(h) = horizon {
             if now > h {
                 break;
             }
         }
         step.clear();
-        match ev {
-            Ev::Arrival(i) => {
+        match next {
+            Next::Arrival(i) => {
                 let r = trace.requests()[i];
                 submit_time.insert(r.id, now);
                 node.submit_into(r, now, &mut *step);
             }
-            Ev::Ssd(e) => node.on_ssd_event_into(e, now, &mut *step),
-            Ev::SetWeight(w) => {
+            Next::Event(Ev::Ssd(e)) => node.on_ssd_event_into(e, now, &mut *step),
+            Next::Event(Ev::SetWeight(w)) => {
                 node.set_weight_ratio(w);
                 report.weight_changes.push((now, w));
                 if tracing {
@@ -300,6 +301,61 @@ mod tests {
         );
         assert_eq!(r.weight_changes.len(), 2);
         assert_eq!(r.weight_changes[0].1, 4);
+    }
+
+    #[test]
+    fn arrival_at_a_weight_change_is_submitted_first() {
+        // One request and one weight change at the same instant. The
+        // arrival wins the tie, so its fetch is traced before the new
+        // weight is.
+        let at = SimTime::from_ms(1);
+        let t = Trace::from_requests(vec![workload::Request {
+            id: 0,
+            op: IoType::Write,
+            lba: 0,
+            size: 4096,
+            arrival: at,
+        }]);
+        let mut sink = sim_engine::RingSink::new(1 << 10);
+        let r = run_trace_windowed_with_schedule(&NodeConfig::default(), &t, &[(at, 4)], &mut sink);
+        assert_eq!(r.weight_changes, vec![(at, 4)]);
+        let ssq: Vec<&str> = sink
+            .records()
+            .filter(|rec| rec.component == "ssq" && rec.at == at)
+            .map(|rec| rec.metric)
+            .collect();
+        assert_eq!(
+            ssq.first(),
+            Some(&"fetch_class"),
+            "records at {at:?}: {ssq:?}"
+        );
+        assert!(ssq.contains(&"weight"));
+    }
+
+    #[test]
+    fn unsorted_deserialized_trace_runs_like_the_sorted_one() {
+        // `Deserialize` bypasses `from_requests`' sort; the runner walks
+        // arrivals in time order regardless of their positions.
+        let sorted = small_trace(9);
+        let mut arrivals: Vec<SimTime> = sorted.requests().iter().map(|r| r.arrival).collect();
+        arrivals.dedup();
+        assert_eq!(arrivals.len(), sorted.len(), "arrivals must be distinct");
+        let mut shuffled: Vec<String> = sorted
+            .requests()
+            .iter()
+            .map(|r| serde_json::to_string(r).unwrap())
+            .collect();
+        shuffled.reverse();
+        shuffled.swap(0, 100);
+        let json = format!("{{\"requests\":[{}]}}", shuffled.join(","));
+        let unsorted: Trace = serde_json::from_str(&json).unwrap();
+        assert_eq!(unsorted.len(), sorted.len());
+        assert_ne!(unsorted.requests()[0], sorted.requests()[0]);
+        let cfg = NodeConfig::default();
+        assert_eq!(
+            format!("{:?}", run_trace(&cfg, &unsorted)),
+            format!("{:?}", run_trace(&cfg, &sorted))
+        );
     }
 
     #[test]

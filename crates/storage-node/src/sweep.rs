@@ -123,4 +123,50 @@ mod tests {
         let rel = (pts[0].read_gbps - pts[1].read_gbps).abs() / pts[0].read_gbps.max(1e-9);
         assert!(rel < 0.1, "light load should fade out WRR, delta={rel}");
     }
+
+    #[test]
+    fn sweep_is_pinned_bitwise() {
+        // Recorded before the runner's arrival cursor, the lazily built
+        // FTL and the Fx-hashed maps: none of them may move a bit.
+        let trace = generate_micro(
+            &MicroConfig {
+                read_count: 600,
+                write_count: 600,
+                read_iat_mean_us: 6.0,
+                write_iat_mean_us: 6.0,
+                read_size_mean: 32_000.0,
+                write_size_mean: 32_000.0,
+                lba_space_sectors: 1 << 14,
+                ..MicroConfig::default()
+            },
+            11,
+        );
+        let pinned: [(SsdConfig, [(u64, u64); 4]); 2] = [
+            (
+                SsdConfig::ssd_a(),
+                [
+                    (0x400626b2f23033a4, 0x40154434e3369b9d),
+                    (0x4001b1d92b7fe08b, 0x401a8262456f75da),
+                    (0x3ff1904b3c3e74b0, 0x401e03f705857aff),
+                    (0x3fe2dfd694ccab3f, 0x40200a393ee5eedd),
+                ],
+            ),
+            (
+                SsdConfig::ssd_b(),
+                [
+                    (0x400a47a9e2bcf91a, 0x40137f38c5436b90),
+                    (0x400a47a9e2bcf91a, 0x40137f38c5436b90),
+                    (0x400a47a9e2bcf91a, 0x40137f38c5436b90),
+                    (0x400ce6c093d96638, 0x4013879c4113c686),
+                ],
+            ),
+        ];
+        for (ssd, want) in pinned {
+            let got: Vec<(u64, u64)> = weight_sweep(&ssd, &trace, &[1, 2, 4, 8])
+                .iter()
+                .map(|p| (p.read_gbps.to_bits(), p.write_gbps.to_bits()))
+                .collect();
+            assert_eq!(got, want, "{}", ssd.model_name());
+        }
+    }
 }

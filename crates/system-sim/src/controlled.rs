@@ -6,7 +6,7 @@
 //! reactive stepper needs one control period per weight step, while the
 //! TPM controller jumps straight to Algorithm 1's answer.
 
-use sim_engine::{EventQueue, SimDuration, SimTime, TimeBinSeries};
+use sim_engine::{ArrivalCursor, EventQueue, Next, SimDuration, SimTime, TimeBinSeries};
 use src_core::algorithm::CongestionEvent;
 use src_core::reactive::RateController;
 use src_core::WorkloadMonitor;
@@ -28,8 +28,9 @@ pub struct ControlledResult {
     pub settle_ms: Vec<f64>,
 }
 
+/// Queued events. Arrivals never enter the queue: they come from the
+/// run's [`ArrivalCursor`].
 enum Ev {
-    Arrival(usize),
     Ssd(SsdEvent),
     Tick,
     Event(usize),
@@ -93,10 +94,8 @@ pub fn run_controlled(
         settle_ms: vec![f64::NAN; events.len()],
     };
 
+    let mut arrivals = ArrivalCursor::new(trace.requests().iter().map(|r| r.arrival));
     let mut q: EventQueue<Ev> = EventQueue::new();
-    for (i, r) in trace.requests().iter().enumerate() {
-        q.schedule(r.arrival, Ev::Arrival(i));
-    }
     for (i, e) in events.iter().enumerate() {
         q.schedule(e.at, Ev::Event(i));
     }
@@ -105,12 +104,12 @@ pub fn run_controlled(
     let horizon = trace.span();
     let mut demanded: Option<(usize, f64)> = None; // (event idx, gbps)
 
-    while let Some((now, ev)) = q.pop() {
+    while let Some((now, next)) = arrivals.pop(q.peek_time(), || q.pop()) {
         if now > horizon {
             break;
         }
-        match ev {
-            Ev::Arrival(i) => {
+        match next {
+            Next::Arrival(i) => {
                 let r = trace.requests()[i];
                 monitor.observe(&r, now);
                 let step = node.submit(r, now);
@@ -118,7 +117,7 @@ pub fn run_controlled(
                     q.schedule(t, Ev::Ssd(e));
                 }
             }
-            Ev::Ssd(e) => {
+            Next::Event(Ev::Ssd(e)) => {
                 let step = node.on_ssd_event(e, now);
                 for c in &step.completions {
                     match c.op {
@@ -133,10 +132,10 @@ pub fn run_controlled(
                     q.schedule(t, Ev::Ssd(e2));
                 }
             }
-            Ev::Event(i) => {
+            Next::Event(Ev::Event(i)) => {
                 demanded = Some((i, events[i].demanded.as_gbps_f64()));
             }
-            Ev::Tick => {
+            Next::Event(Ev::Tick) => {
                 if let Some((ei, d)) = demanded {
                     let measured = meter.gbps(now);
                     // Settle detection.

@@ -9,8 +9,8 @@ use net_sim::topology::{build_clos, build_star, NodeId};
 use net_sim::FlowId;
 use serde::{Deserialize, Serialize};
 use sim_engine::{
-    AdaptiveEventQueue, FaultKind, FaultPlan, FaultScope, Scratch, SimDuration, SimTime,
-    SimWorkspace, TraceRecord, TraceSink,
+    AdaptiveEventQueue, ArrivalCursor, FaultKind, FaultPlan, FaultScope, Next, Scratch,
+    SimDuration, SimTime, SimWorkspace, TraceRecord, TraceSink,
 };
 use src_core::{PredictionCache, SrcController, ThroughputPredictionModel};
 use ssd_sim::SsdEvent;
@@ -19,8 +19,9 @@ use std::sync::Arc;
 use storage_node::{DisciplineKind, NodeConfig, StorageNode};
 use workload::IoType;
 
+/// Queued events. Request arrivals never enter the queue: they come
+/// from the run's [`ArrivalCursor`].
 enum Ev {
-    Issue(usize),
     Net(NetEvent),
     Ssd {
         target: usize,
@@ -223,10 +224,10 @@ impl<'a> RunOptions<'a> {
 }
 
 /// Per-worker reusable simulation state for [`run_system_in`]: the
-/// adaptive event queue, the network/SSD step buffers, and the
-/// per-Target TPM prediction-cache storage all survive across runs
-/// inside one [`SimWorkspace`], so a sweep cell allocates (almost)
-/// nothing the previous cell already paid for.
+/// adaptive event queue, the arrival cursor, the network/SSD step
+/// buffers, and the per-Target TPM prediction-cache storage all
+/// survive across runs inside one [`SimWorkspace`], so a sweep cell
+/// allocates (almost) nothing the previous cell already paid for.
 ///
 /// `reset` restores every observable field to its `Default`, keeping
 /// heap capacity. The cumulative queue-migration counter is the one
@@ -237,6 +238,7 @@ impl<'a> RunOptions<'a> {
 #[derive(Default)]
 struct SystemScratch {
     queue: AdaptiveEventQueue<Ev>,
+    arrivals: ArrivalCursor,
     net_step: NetStep,
     io_step: NetStep,
     ssd_scheds: Vec<(usize, ssd_sim::SsdStep)>,
@@ -248,6 +250,7 @@ struct SystemScratch {
 impl Scratch for SystemScratch {
     fn reset(&mut self) {
         self.queue.reset();
+        self.arrivals.load([]);
         while let Some((_, step)) = self.ssd_scheds.pop() {
             self.ssd_pool.push(step);
         }
@@ -379,6 +382,7 @@ fn run_system_inner(
     scratch.reset();
     let SystemScratch {
         queue: q,
+        arrivals,
         net_step,
         io_step,
         ssd_scheds,
@@ -501,9 +505,7 @@ fn run_system_inner(
     }
 
     let mut report = SystemReport::new(cfg.n_targets);
-    for (i, a) in assignments.iter().enumerate() {
-        q.schedule(a.request.arrival, Ev::Issue(i));
-    }
+    arrivals.load(assignments.iter().map(|a| a.request.arrival));
     if let Some(bg) = &cfg.background {
         for s in 0..bg.n_sources {
             q.schedule(bg.start, Ev::Background { src: s });
@@ -561,15 +563,15 @@ fn run_system_inner(
     // `ssd_scheds` keeps its LIFO processing order while `ssd_pool`
     // recycles the drained step buffers, so the steady state allocates
     // nothing per event — and across reused runs, not even at startup.
-    while let Some((now, ev)) = q.pop() {
+    while let Some((now, next)) = arrivals.pop(q.peek_time(), || q.pop()) {
         if finished + abandoned >= total {
             break;
         }
         net_step.clear();
         debug_assert!(ssd_scheds.is_empty());
 
-        match ev {
-            Ev::Issue(i) => {
+        match next {
+            Next::Arrival(i) => {
                 let a = assignments[i];
                 let target = match cfg.target_selection {
                     TargetSelection::Static => a.target,
@@ -601,15 +603,15 @@ fn run_system_inner(
                     q.schedule(now + rb.timeout, Ev::Timeout { req, attempt: 1 });
                 }
             }
-            Ev::Net(nev) => {
+            Next::Event(Ev::Net(nev)) => {
                 net.handle_into(nev, now, &mut *net_step);
             }
-            Ev::Ssd { target, ev } => {
+            Next::Event(Ev::Ssd { target, ev }) => {
                 let mut step = ssd_pool.pop().unwrap_or_default();
                 targets[target].node.on_ssd_event_into(ev, now, &mut step);
                 ssd_scheds.push((target, step));
             }
-            Ev::Background { src } => {
+            Next::Event(Ev::Background { src }) => {
                 let bg = cfg
                     .background
                     .as_ref()
@@ -633,7 +635,7 @@ fn run_system_inner(
                     }
                 }
             }
-            Ev::Fault { event, activate } => {
+            Next::Event(Ev::Fault { event, activate }) => {
                 let fe = &plan.events[event];
                 match (fe.kind, fe.scope) {
                     (
@@ -687,7 +689,7 @@ fn run_system_inner(
                     (kind, scope) => unreachable!("fault plan validated: {kind:?} on {scope:?}"),
                 }
             }
-            Ev::Timeout { req, attempt } => {
+            Next::Event(Ev::Timeout { req, attempt }) => {
                 if let Some(rb) = robustness {
                     let st = req_state[req];
                     if !st.done && st.attempt == attempt {
@@ -710,7 +712,7 @@ fn run_system_inner(
                     }
                 }
             }
-            Ev::Retry { req } => {
+            Next::Event(Ev::Retry { req }) => {
                 if let Some(rb) = robustness {
                     if !req_state[req].done {
                         let a = assignments[req];
