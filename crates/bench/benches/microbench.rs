@@ -7,10 +7,10 @@ use ml::{Dataset, RandomForest, RandomForestParams, Regressor};
 use net_sim::{DcqcnParams, RpState};
 use nvme_queues::{QueueDiscipline, SsqQueues};
 use sim_engine::{EventQueue, Rate, SimDuration, SimTime, TokenBucket};
-use ssd_sim::standalone::run_closed_loop;
-use ssd_sim::{SsdCommand, SsdConfig};
+use ssd_sim::SsdConfig;
+use storage_node::{run_trace, DisciplineKind, NodeConfig};
 use workload::micro::{generate_micro, MicroConfig};
-use workload::{extract_features, IoType, Request};
+use workload::{extract_features, IoType, Request, Trace};
 
 fn bench_event_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue");
@@ -93,18 +93,26 @@ fn bench_wrr(c: &mut Criterion) {
 fn bench_ssd(c: &mut Criterion) {
     let mut g = c.benchmark_group("ssd");
     g.sample_size(10);
+    // All 500 reads arrive at t = 0, so the FIFO node keeps the device
+    // queue depth outstanding: a closed loop.
+    let cfg = NodeConfig {
+        ssd: SsdConfig::ssd_a(),
+        discipline: DisciplineKind::Fifo,
+        merge_cap: None,
+    };
+    let trace = Trace::from_requests(
+        (0..500)
+            .map(|i| Request {
+                id: i,
+                op: IoType::Read,
+                lba: (i * 64) % (1 << 20),
+                size: 32 * 1024,
+                arrival: SimTime::ZERO,
+            })
+            .collect(),
+    );
     g.bench_function("closed_loop_500_reads", |b| {
-        b.iter(|| {
-            let cmds: Vec<SsdCommand> = (0..500)
-                .map(|i| SsdCommand {
-                    id: i,
-                    op: IoType::Read,
-                    lba: (i * 64) % (1 << 20),
-                    size: 32 * 1024,
-                })
-                .collect();
-            black_box(run_closed_loop(SsdConfig::ssd_a(), cmds))
-        })
+        b.iter(|| black_box(run_trace(&cfg, &trace)))
     });
     g.finish();
 }

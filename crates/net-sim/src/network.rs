@@ -10,9 +10,7 @@
 use crate::dcqcn::{DcqcnParams, NpState, RpState};
 use crate::timely::{TimelyParams, TimelyState};
 use crate::topology::{NodeId, NodeKind, Topology};
-use sim_engine::{
-    FaultRng, ProbeBuffer, Rate, SimDuration, SimTime, TokenBucket, TraceRecord, TraceSink,
-};
+use sim_engine::{FaultRng, ProbeBuffer, Rate, SimDuration, SimTime, TokenBucket, TraceSink};
 use std::collections::VecDeque;
 
 /// Identifier of a unidirectional RDMA flow (queue pair).
@@ -470,15 +468,8 @@ impl Network {
         self.flush_horizon = if on { SimDuration::ZERO } else { FLUSH_HORIZON };
     }
 
-    /// Move pending probe records out, preserving record order. The
-    /// event-loop owner feeds these into its `TraceSink`.
-    pub fn drain_probes(&mut self) -> Vec<TraceRecord> {
-        self.probes.drain()
-    }
-
     /// Drain pending probe records straight into `sink`, preserving
-    /// order and the probe buffer's capacity (the hot-loop form of
-    /// [`Network::drain_probes`]).
+    /// order and the probe buffer's capacity.
     pub fn drain_probes_into(&mut self, sink: &mut dyn TraceSink) {
         self.probes.drain_into(sink);
     }
@@ -501,11 +492,6 @@ impl Network {
     /// traffic is sent.
     pub fn use_timely(&mut self, params: TimelyParams) {
         self.cc = CcMode::Timely(params);
-    }
-
-    /// The active rate-control scheme.
-    pub fn cc_mode(&self) -> &CcMode {
-        &self.cc
     }
 
     /// Register a unidirectional flow; returns its id.

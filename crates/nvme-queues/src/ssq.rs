@@ -45,9 +45,6 @@ pub struct SsqQueues {
     sector_owner: FxHashMap<u64, u64>,
     /// id -> queue, for commands still waiting.
     waiting: FxHashMap<u64, Sq>,
-    /// Fetch counters per class (for tests/metrics).
-    fetched_r: u64,
-    fetched_w: u64,
     /// Fetches served without charging a token (fade-out path).
     free_fetches: u64,
     /// Consistency checking on/off (ablation knob; on by default).
@@ -81,8 +78,6 @@ impl SsqQueues {
             outstanding_w: 0,
             sector_owner: FxHashMap::default(),
             waiting: FxHashMap::default(),
-            fetched_r: 0,
-            fetched_w: 0,
             free_fetches: 0,
             consistency: true,
             merge_cap: None,
@@ -171,11 +166,6 @@ impl SsqQueues {
         (self.qd - write_cap, write_cap)
     }
 
-    /// Fetches per class so far `(reads, writes)`.
-    pub fn fetch_counts(&self) -> (u64, u64) {
-        (self.fetched_r, self.fetched_w)
-    }
-
     /// Number of fetches served without token accounting because the
     /// preferred queue was empty.
     pub fn free_fetches(&self) -> u64 {
@@ -247,14 +237,8 @@ impl SsqQueues {
             });
         }
         match cmd.op {
-            IoType::Read => {
-                self.outstanding_r += 1;
-                self.fetched_r += 1;
-            }
-            IoType::Write => {
-                self.outstanding_w += 1;
-                self.fetched_w += 1;
-            }
+            IoType::Read => self.outstanding_r += 1,
+            IoType::Write => self.outstanding_w += 1,
         }
         // Drop the consistency bookkeeping for this command.
         self.waiting.remove(&cmd.id);

@@ -48,7 +48,6 @@ pub mod cmt;
 pub mod config;
 pub mod ftl;
 pub mod ssd;
-pub mod standalone;
 
 pub use config::SsdConfig;
 pub use ssd::{CommandCompletion, CommandRelease, Ssd, SsdCommand, SsdEvent, SsdStep};

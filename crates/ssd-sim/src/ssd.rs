@@ -336,11 +336,6 @@ impl Ssd {
         )
     }
 
-    /// CMT hit/miss counters `(hits, misses)`.
-    pub fn cmt_counters(&self) -> (u64, u64) {
-        (self.cmt.hits(), self.cmt.misses())
-    }
-
     fn channel_of_chip(&self, chip: usize) -> usize {
         chip / self.cfg.chips_per_channel
     }
@@ -656,26 +651,12 @@ impl Ssd {
             }
         }
     }
-
-    /// Smallest latency any command could have (used by tests as a lower
-    /// bound): one cell read plus one bus transfer.
-    pub fn min_read_latency(&self) -> SimDuration {
-        self.cfg.read_latency + self.cfg.page_transfer_time()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::standalone::run_closed_loop;
     use sim_engine::ByteSize;
-
-    fn small_cfg() -> SsdConfig {
-        SsdConfig {
-            write_cache: ByteSize::from_kib(64),
-            ..SsdConfig::ssd_a()
-        }
-    }
 
     #[test]
     fn single_read_latency_exact() {
@@ -831,24 +812,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_exhaustion_forces_sync_writes() {
-        let cfg = small_cfg(); // 64 KiB cache = 4 pages of 16 KiB
-        let (stats, _) = run_closed_loop(
-            cfg,
-            (0..16)
-                .map(|i| SsdCommand {
-                    id: i,
-                    op: IoType::Write,
-                    lba: i * 8,
-                    size: 16 * 1024,
-                })
-                .collect(),
-        );
-        assert!(stats.sync_writes > 0, "small cache must overflow");
-        assert!(stats.cached_writes >= 4);
-    }
-
-    #[test]
     fn gc_triggers_when_space_low() {
         // Tiny device: 8 chips x 4 blocks x 8 pages = 256 pages; a
         // hot-set overwrite pattern forces GC quickly.
@@ -886,59 +849,5 @@ mod tests {
         assert!(ssd.stats().erases > 0, "GC never erased");
         assert!(ssd.write_amplification() >= 1.0);
         assert_eq!(ssd.stats().writes_completed, 400);
-    }
-
-    #[test]
-    fn read_throughput_bounded_by_channel_bandwidth() {
-        // Saturating closed-loop reads: achieved throughput must not
-        // exceed the channel bound and should get reasonably close.
-        let cfg = SsdConfig::ssd_a();
-        let bound = cfg.channel_bound_bw();
-        let cmds: Vec<SsdCommand> = (0..2000)
-            .map(|i| SsdCommand {
-                id: i,
-                op: IoType::Read,
-                lba: (i * 16) % (1 << 20),
-                size: 64 * 1024,
-            })
-            .collect();
-        let (stats, makespan) = run_closed_loop(cfg, cmds);
-        let achieved = stats.read_bytes_completed as f64 / makespan.as_secs_f64();
-        assert!(
-            achieved <= bound * 1.01,
-            "achieved {achieved} > bound {bound}"
-        );
-        assert!(
-            achieved > bound * 0.5,
-            "achieved {achieved} too far below bound {bound}"
-        );
-    }
-
-    #[test]
-    fn writes_slower_than_reads_at_flash() {
-        // With the cache disabled, write throughput is program-bound and
-        // clearly below read throughput.
-        let mk = |op| -> Vec<SsdCommand> {
-            (0..800)
-                .map(|i| SsdCommand {
-                    id: i,
-                    op,
-                    lba: (i * 16) % (1 << 20),
-                    size: 64 * 1024,
-                })
-                .collect()
-        };
-        let no_cache = SsdConfig {
-            write_cache: ByteSize::ZERO,
-            ..SsdConfig::ssd_a()
-        };
-        let (rs, rt) = run_closed_loop(no_cache.clone(), mk(IoType::Read));
-        let (ws, wt) = run_closed_loop(no_cache, mk(IoType::Write));
-        let r_bw = rs.read_bytes_completed as f64 / rt.as_secs_f64();
-        let w_bw = ws.write_bytes_completed as f64 / wt.as_secs_f64();
-        assert!(
-            w_bw < r_bw * 0.6,
-            "write bw {w_bw} not clearly below read bw {r_bw}"
-        );
     }
 }

@@ -4,8 +4,8 @@
 
 use nvme_queues::{FifoQueues, QueueDiscipline, SsqQueues};
 use serde::{Deserialize, Serialize};
-use sim_engine::{ProbeBuffer, SimTime, TraceRecord};
-use ssd_sim::{CommandCompletion, Ssd, SsdCommand, SsdConfig, SsdEvent, SsdStep};
+use sim_engine::{ProbeBuffer, SimTime};
+use ssd_sim::{Ssd, SsdCommand, SsdConfig, SsdEvent, SsdStep};
 use workload::{IoType, Request};
 
 /// Which submission-queue discipline a node runs.
@@ -52,8 +52,6 @@ pub struct StorageNode {
     /// Under FIFO this head-of-line-blocks writes too; under SSQ the
     /// write queue keeps flowing (paper Sec. II-B vs III-A).
     read_gate_open: bool,
-    /// Requests absorbed by block-layer merging.
-    merged: u64,
     /// Telemetry probes (fetch decisions, queue occupancy, SSD
     /// utilization); drained by the owning event loop.
     probes: ProbeBuffer,
@@ -77,7 +75,6 @@ impl StorageNode {
             disc,
             ssd: Ssd::new(cfg.ssd.clone()),
             read_gate_open: true,
-            merged: 0,
             probes: ProbeBuffer::default(),
             scope: 0,
             util_prev: None,
@@ -94,14 +91,8 @@ impl StorageNode {
         self.util_prev = None;
     }
 
-    /// Move pending probe records out, preserving record order.
-    pub fn drain_probes(&mut self) -> Vec<TraceRecord> {
-        self.probes.drain()
-    }
-
     /// Drain pending probe records straight into `sink`, preserving
-    /// order and the probe buffer's capacity (the hot-loop form of
-    /// [`StorageNode::drain_probes`]).
+    /// order and the probe buffer's capacity.
     pub fn drain_probes_into(&mut self, sink: &mut dyn sim_engine::TraceSink) {
         self.probes.drain_into(sink);
     }
@@ -137,40 +128,19 @@ impl StorageNode {
     }
 
     /// Accept one request from above (application or NVMe-oF target
-    /// driver) and pump the device. When merging is configured and the
-    /// request was absorbed into an existing command, it will produce no
-    /// separate completion.
-    pub fn submit(&mut self, req: Request, now: SimTime) -> SsdStep {
-        let mut step = SsdStep::default();
-        self.submit_into(req, now, &mut step);
-        step
-    }
-
-    /// Allocation-free variant of [`StorageNode::submit`]: appends to a
-    /// caller-owned step instead of returning a fresh one.
+    /// driver) and pump the device, appending the resulting events to
+    /// `step`. When merging is configured and the request was absorbed
+    /// into an existing command, it will produce no separate completion.
     pub fn submit_into(&mut self, req: Request, now: SimTime, step: &mut SsdStep) {
-        let merged = self.disc.enqueue_or_merge(req);
-        self.merged += merged as u64;
+        self.disc.enqueue_or_merge(req);
         self.pump_into(now, step);
     }
 
-    /// Requests absorbed by merging so far.
-    pub fn merged(&self) -> u64 {
-        self.merged
-    }
-
-    /// Advance on a device event; returns completions and new events.
-    /// Queue-depth slots are returned to the discipline on *releases*
-    /// (flash work finished), not on host completions — cached writes
-    /// complete early but keep their slot until the destage lands.
-    pub fn on_ssd_event(&mut self, ev: SsdEvent, now: SimTime) -> SsdStep {
-        let mut step = SsdStep::default();
-        self.on_ssd_event_into(ev, now, &mut step);
-        step
-    }
-
-    /// Allocation-free variant of [`StorageNode::on_ssd_event`]: appends
-    /// to a caller-owned step instead of returning a fresh one.
+    /// Advance on a device event, appending completions and new events
+    /// to `step`. Queue-depth slots are returned to the discipline on
+    /// *releases* (flash work finished), not on host completions —
+    /// cached writes complete early but keep their slot until the
+    /// destage lands.
     pub fn on_ssd_event_into(&mut self, ev: SsdEvent, now: SimTime, step: &mut SsdStep) {
         let rel_start = step.releases.len();
         self.ssd.handle_into(ev, now, step);
@@ -180,15 +150,8 @@ impl StorageNode {
         self.pump_into(now, step);
     }
 
-    /// Move fetchable commands into the SSD, honoring the read gate.
-    pub fn pump(&mut self, now: SimTime) -> SsdStep {
-        let mut step = SsdStep::default();
-        self.pump_into(now, &mut step);
-        step
-    }
-
-    /// Allocation-free variant of [`StorageNode::pump`]: appends to a
-    /// caller-owned step instead of returning a fresh one.
+    /// Move fetchable commands into the SSD, honoring the read gate;
+    /// new events are appended to `step`.
     pub fn pump_into(&mut self, now: SimTime, step: &mut SsdStep) {
         while let Some(cmd) = self.disc.fetch_gated(self.read_gate_open) {
             let (n_compl, n_rel) = (step.completions.len(), step.releases.len());
@@ -270,25 +233,6 @@ impl StorageNode {
     }
 }
 
-/// Extension trait: merge two [`SsdStep`]s (completions + schedules).
-pub trait StepMerge {
-    /// Append the completions and schedules of `other`.
-    fn merge_from(&mut self, other: SsdStep);
-}
-
-impl StepMerge for SsdStep {
-    fn merge_from(&mut self, other: SsdStep) {
-        self.completions.extend(other.completions);
-        self.releases.extend(other.releases);
-        self.schedule.extend(other.schedule);
-    }
-}
-
-/// Convenience: is this completion a read?
-pub fn is_read(c: &CommandCompletion) -> bool {
-    c.op.is_read()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,28 +249,38 @@ mod tests {
         }
     }
 
-    fn drain(node: &mut StorageNode, q: &mut EventQueue<SsdEvent>) -> Vec<CommandCompletion> {
-        let mut out = Vec::new();
+    /// Submit one request and return the step it produced.
+    fn submit(node: &mut StorageNode, r: Request) -> SsdStep {
+        let mut step = SsdStep::default();
+        node.submit_into(r, SimTime::ZERO, &mut step);
+        step
+    }
+
+    /// Run `step`'s events and everything they cause; returns the number
+    /// of host completions.
+    fn drain(node: &mut StorageNode, step: SsdStep) -> usize {
+        let mut q = EventQueue::new();
+        for (t, e) in step.schedule {
+            q.schedule(t, e);
+        }
+        let mut done = 0;
+        let mut s = SsdStep::default();
         while let Some((t, e)) = q.pop() {
-            let s = node.on_ssd_event(e, t);
-            out.extend(s.completions);
-            for (t2, e2) in s.schedule {
+            s.clear();
+            node.on_ssd_event_into(e, t, &mut s);
+            done += s.completions.len();
+            for &(t2, e2) in &s.schedule {
                 q.schedule(t2, e2);
             }
         }
-        out
+        done
     }
 
     #[test]
     fn submit_and_complete() {
         let mut node = StorageNode::new(&NodeConfig::default());
-        let mut q = EventQueue::new();
-        let s = node.submit(req(1, IoType::Read, 16 * 1024), SimTime::ZERO);
-        for (t, e) in s.schedule {
-            q.schedule(t, e);
-        }
-        let done = drain(&mut node, &mut q);
-        assert_eq!(done.len(), 1);
+        let s = submit(&mut node, req(1, IoType::Read, 16 * 1024));
+        assert_eq!(drain(&mut node, s), 1);
         assert!(node.is_idle());
     }
 
@@ -334,13 +288,14 @@ mod tests {
     fn read_gate_blocks_reads() {
         let mut node = StorageNode::new(&NodeConfig::default());
         node.set_read_gate(false);
-        let s = node.submit(req(1, IoType::Read, 4096), SimTime::ZERO);
+        let s = submit(&mut node, req(1, IoType::Read, 4096));
         assert!(s.schedule.is_empty(), "gated read must not start");
         assert_eq!(node.ssd().in_flight(), 0);
         assert_eq!(node.discipline().queued(), 1);
         // Reopen and pump.
         node.set_read_gate(true);
-        let s = node.pump(SimTime::ZERO);
+        let mut s = SsdStep::default();
+        node.pump_into(SimTime::ZERO, &mut s);
         assert!(!s.schedule.is_empty());
         assert_eq!(node.ssd().in_flight(), 1);
     }
@@ -353,8 +308,8 @@ mod tests {
             ..NodeConfig::default()
         });
         fifo.set_read_gate(false);
-        let _ = fifo.submit(req(1, IoType::Read, 4096), SimTime::ZERO);
-        let _ = fifo.submit(req(2, IoType::Write, 4096), SimTime::ZERO);
+        submit(&mut fifo, req(1, IoType::Read, 4096));
+        submit(&mut fifo, req(2, IoType::Write, 4096));
         assert_eq!(fifo.ssd().in_flight(), 0, "FIFO head-of-line blocks");
 
         // SSQ: the write proceeds while reads are gated.
@@ -363,8 +318,8 @@ mod tests {
             ..NodeConfig::default()
         });
         ssq.set_read_gate(false);
-        let _ = ssq.submit(req(1, IoType::Read, 4096), SimTime::ZERO);
-        let _ = ssq.submit(req(2, IoType::Write, 4096), SimTime::ZERO);
+        submit(&mut ssq, req(1, IoType::Read, 4096));
+        submit(&mut ssq, req(2, IoType::Write, 4096));
         assert_eq!(ssq.ssd().in_flight(), 1, "SSQ serves writes past the gate");
         assert_eq!(ssq.discipline().queued_of(IoType::Read), 1);
     }
@@ -397,7 +352,7 @@ mod tests {
         };
         let mut node = StorageNode::new(&cfg);
         for i in 0..10 {
-            let _ = node.submit(req(i, IoType::Read, 16 * 1024), SimTime::ZERO);
+            submit(&mut node, req(i, IoType::Read, 16 * 1024));
         }
         assert_eq!(node.ssd().in_flight(), 4);
         assert_eq!(node.discipline().queued(), 6);

@@ -1,5 +1,6 @@
-//! Standalone trace runner: arrivals from a trace, storage-node stack,
-//! optional scripted weight changes.
+//! The device-level event loop: arrivals from a trace, storage-node
+//! stack, and weight changes from a script or from an in-the-loop
+//! [`NodeControl`].
 
 use crate::node::{NodeConfig, StorageNode};
 use crate::report::NodeReport;
@@ -7,8 +8,8 @@ use sim_engine::{
     AdaptiveEventQueue, ArrivalCursor, FxHashMap, Next, NullSink, Scratch, SimDuration, SimTime,
     SimWorkspace, TraceRecord, TraceSink,
 };
-use ssd_sim::SsdEvent;
-use workload::{IoType, Trace};
+use ssd_sim::{CommandCompletion, SsdEvent};
+use workload::{IoType, Request, Trace};
 
 /// Bin width used for runtime throughput series (the paper plots per
 /// millisecond).
@@ -19,6 +20,26 @@ pub const BIN: SimDuration = SimDuration(1_000_000_000); // 1 ms in ps
 enum Ev {
     Ssd(SsdEvent),
     SetWeight(u32),
+    Wake,
+}
+
+/// A controller in the loop: it watches the node's traffic and, woken
+/// every [`period`](NodeControl::period), may set a new SSQ weight.
+///
+/// A weight returned by [`wake`](NodeControl::wake) is applied exactly
+/// like a scheduled one: it is recorded in
+/// [`NodeReport::weight_changes`], traced, and followed by a pump. The
+/// next wake-up is armed after that step's device events are scheduled,
+/// so a device event the step schedules for the same instant pops first.
+pub trait NodeControl {
+    /// Time between wake-ups; the first is one period after zero.
+    fn period(&self) -> SimDuration;
+    /// An arrival, seen before it is submitted.
+    fn on_arrival(&mut self, req: &Request, now: SimTime);
+    /// A host completion (`c.at` is the current time).
+    fn on_completion(&mut self, c: &CommandCompletion);
+    /// A periodic wake-up; `Some(w)` sets the weight ratio to `w`.
+    fn wake(&mut self, now: SimTime) -> Option<u32>;
 }
 
 /// Per-worker reusable state for the trace runner (the device-level
@@ -52,6 +73,7 @@ pub fn run_trace(cfg: &NodeConfig, trace: &Trace) -> NodeReport {
         trace,
         &[],
         None,
+        None,
         &mut SimWorkspace::new(),
         &mut NullSink,
     )
@@ -73,7 +95,7 @@ pub fn run_trace_windowed(cfg: &NodeConfig, trace: &Trace) -> NodeReport {
 /// the start of every run, so the report is identical to
 /// [`run_trace_windowed`]'s.
 pub fn run_trace_windowed_in(cfg: &NodeConfig, trace: &Trace, ws: &mut SimWorkspace) -> NodeReport {
-    run_trace_impl(cfg, trace, &[], Some(trace.span()), ws, &mut NullSink)
+    run_trace_impl(cfg, trace, &[], None, Some(trace.span()), ws, &mut NullSink)
 }
 
 /// Windowed run with scripted weight changes (see
@@ -93,9 +115,29 @@ pub fn run_trace_windowed_with_schedule(
         cfg,
         trace,
         weight_schedule,
+        None,
         Some(trace.span()),
         &mut SimWorkspace::new(),
         sink,
+    )
+}
+
+/// Windowed run with `control` in the loop: it sees every arrival and
+/// host completion and sets weights at its wake-ups (see
+/// [`NodeControl`]).
+pub fn run_trace_windowed_with_control(
+    cfg: &NodeConfig,
+    trace: &Trace,
+    control: &mut dyn NodeControl,
+) -> NodeReport {
+    run_trace_impl(
+        cfg,
+        trace,
+        &[],
+        Some(control),
+        Some(trace.span()),
+        &mut SimWorkspace::new(),
+        &mut NullSink,
     )
 }
 
@@ -112,6 +154,7 @@ pub fn run_trace_with_schedule(
         trace,
         weight_schedule,
         None,
+        None,
         &mut SimWorkspace::new(),
         &mut NullSink,
     )
@@ -121,6 +164,7 @@ fn run_trace_impl(
     cfg: &NodeConfig,
     trace: &Trace,
     weight_schedule: &[(SimTime, u32)],
+    mut control: Option<&mut dyn NodeControl>,
     horizon: Option<SimTime>,
     ws: &mut SimWorkspace,
     sink: &mut dyn TraceSink,
@@ -147,6 +191,13 @@ fn run_trace_impl(
     for &(t, w) in weight_schedule {
         q.schedule(t, Ev::SetWeight(w));
     }
+    // Wake-ups re-arm forever, so only a horizon ends a controlled run.
+    let period = control.as_ref().map(|c| c.period());
+    if let Some(p) = period {
+        assert!(p > SimDuration::ZERO, "control period must be positive");
+        assert!(horizon.is_some(), "a controlled run needs a horizon");
+        q.schedule(SimTime::ZERO + p, Ev::Wake);
+    }
 
     while let Some((now, next)) = arrivals.pop(q.peek_time(), || q.pop()) {
         if let Some(h) = horizon {
@@ -155,28 +206,41 @@ fn run_trace_impl(
             }
         }
         step.clear();
-        match next {
+        let mut rearm = None;
+        let set_weight = match next {
             Next::Arrival(i) => {
                 let r = trace.requests()[i];
+                if let Some(ctl) = control.as_deref_mut() {
+                    ctl.on_arrival(&r, now);
+                }
                 submit_time.insert(r.id, now);
                 node.submit_into(r, now, &mut *step);
+                None
             }
-            Next::Event(Ev::Ssd(e)) => node.on_ssd_event_into(e, now, &mut *step),
-            Next::Event(Ev::SetWeight(w)) => {
-                node.set_weight_ratio(w);
-                report.weight_changes.push((now, w));
-                if tracing {
-                    sink.record(TraceRecord {
-                        at: now,
-                        component: "ssq",
-                        scope: 0,
-                        metric: "weight",
-                        value: w as f64,
-                    });
-                }
-                node.pump_into(now, &mut *step);
+            Next::Event(Ev::Ssd(e)) => {
+                node.on_ssd_event_into(e, now, &mut *step);
+                None
+            }
+            Next::Event(Ev::SetWeight(w)) => Some(w),
+            Next::Event(Ev::Wake) => {
+                rearm = period;
+                control.as_deref_mut().and_then(|ctl| ctl.wake(now))
             }
         };
+        if let Some(w) = set_weight {
+            node.set_weight_ratio(w);
+            report.weight_changes.push((now, w));
+            if tracing {
+                sink.record(TraceRecord {
+                    at: now,
+                    component: "ssq",
+                    scope: 0,
+                    metric: "weight",
+                    value: w as f64,
+                });
+            }
+            node.pump_into(now, &mut *step);
+        }
         if tracing {
             if now.since(last_sample) >= BIN {
                 node.sample_telemetry(now);
@@ -185,6 +249,9 @@ fn run_trace_impl(
             node.drain_probes_into(sink);
         }
         for c in &step.completions {
+            if let Some(ctl) = control.as_deref_mut() {
+                ctl.on_completion(c);
+            }
             let lat = submit_time
                 .remove(&c.id)
                 .map(|t0| c.at.since(t0).as_us_f64())
@@ -207,6 +274,9 @@ fn run_trace_impl(
         }
         for &(t, e) in &step.schedule {
             q.schedule(t, Ev::Ssd(e));
+        }
+        if let Some(p) = rearm {
+            q.schedule(now + p, Ev::Wake);
         }
     }
 
@@ -330,6 +400,45 @@ mod tests {
             "records at {at:?}: {ssq:?}"
         );
         assert!(ssq.contains(&"weight"));
+    }
+
+    /// Counts what the runner shows it; sets weight 4 at its first
+    /// wake-up.
+    #[derive(Default)]
+    struct Counting {
+        arrivals: u64,
+        completions: u64,
+        wakes: u64,
+    }
+
+    impl NodeControl for Counting {
+        fn period(&self) -> SimDuration {
+            SimDuration::from_ms(1)
+        }
+        fn on_arrival(&mut self, _: &workload::Request, _: SimTime) {
+            self.arrivals += 1;
+        }
+        fn on_completion(&mut self, _: &ssd_sim::CommandCompletion) {
+            self.completions += 1;
+        }
+        fn wake(&mut self, _: SimTime) -> Option<u32> {
+            self.wakes += 1;
+            (self.wakes == 1).then_some(4)
+        }
+    }
+
+    #[test]
+    fn control_sees_every_arrival_and_completion() {
+        let t = small_trace(6);
+        let mut ctl = Counting::default();
+        let r = run_trace_windowed_with_control(&NodeConfig::default(), &t, &mut ctl);
+        assert_eq!(ctl.arrivals, t.len() as u64);
+        assert_eq!(ctl.completions, r.reads_completed + r.writes_completed);
+        assert_eq!(
+            ctl.wakes,
+            t.span().since(SimTime::ZERO).as_ps() / SimDuration::from_ms(1).as_ps()
+        );
+        assert_eq!(r.weight_changes, vec![(SimTime::from_ms(1), 4)]);
     }
 
     #[test]

@@ -5,35 +5,28 @@
 //! This is the testbed for the paper's Sec. II-C design argument: the
 //! reactive stepper needs one control period per weight step, while the
 //! TPM controller jumps straight to Algorithm 1's answer.
+//!
+//! The run itself is the storage-node runner's: this module supplies a
+//! [`NodeControl`] that meters the read rate, tracks the workload
+//! features, looks up the demanded rate, and asks the controller for a
+//! weight at every wake-up.
 
-use sim_engine::{ArrivalCursor, EventQueue, Next, SimDuration, SimTime, TimeBinSeries};
+use sim_engine::{SimDuration, SimTime};
 use src_core::algorithm::CongestionEvent;
 use src_core::reactive::RateController;
 use src_core::WorkloadMonitor;
-use ssd_sim::SsdEvent;
-use storage_node::{DisciplineKind, NodeConfig, StorageNode};
-use workload::{IoType, Trace};
+use ssd_sim::CommandCompletion;
+use storage_node::{run_trace_windowed_with_control, DisciplineKind, NodeConfig, NodeControl};
+use workload::{Request, Trace};
 
 /// Result of a controlled run.
 #[derive(Debug)]
 pub struct ControlledResult {
-    /// Read bytes per ms.
-    pub read_series: TimeBinSeries,
-    /// Write bytes per ms.
-    pub write_series: TimeBinSeries,
     /// Applied weight changes `(time, w)`.
     pub weight_changes: Vec<(SimTime, u32)>,
     /// For each congestion event: time until the measured read rate
     /// first came within 25 % of the demanded rate (NaN = never).
     pub settle_ms: Vec<f64>,
-}
-
-/// Queued events. Arrivals never enter the queue: they come from the
-/// run's [`ArrivalCursor`].
-enum Ev {
-    Ssd(SsdEvent),
-    Tick,
-    Event(usize),
 }
 
 /// Sliding-window read-rate meter.
@@ -69,6 +62,51 @@ impl RateMeter {
     }
 }
 
+/// The [`NodeControl`] that puts a [`RateController`] in the loop.
+struct Harness<'a> {
+    events: &'a [CongestionEvent],
+    controller: &'a mut dyn RateController,
+    tick: SimDuration,
+    monitor: WorkloadMonitor,
+    meter: RateMeter,
+    settle_ms: Vec<f64>,
+}
+
+impl NodeControl for Harness<'_> {
+    fn period(&self) -> SimDuration {
+        self.tick
+    }
+
+    fn on_arrival(&mut self, req: &Request, now: SimTime) {
+        self.monitor.observe(req, now);
+    }
+
+    fn on_completion(&mut self, c: &CommandCompletion) {
+        if c.op.is_read() {
+            self.meter.push(c.at, c.size);
+        }
+    }
+
+    fn wake(&mut self, now: SimTime) -> Option<u32> {
+        // The congestion event in force: the latest one due by now (at
+        // equal times, the later in `events`).
+        let (ei, ev) = self
+            .events
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.at <= now)
+            .max_by_key(|&(i, e)| (e.at, i))?;
+        let d = ev.demanded.as_gbps_f64();
+        let measured = self.meter.gbps(now);
+        // Settle detection.
+        if self.settle_ms[ei].is_nan() && (measured - d).abs() / d.max(1e-9) < 0.25 {
+            self.settle_ms[ei] = now.since(ev.at).as_ms_f64();
+        }
+        let ch = self.monitor.features(now);
+        self.controller.control(d, measured, &ch, now)
+    }
+}
+
 /// Run `trace` on an SSQ node; `events` set the demanded rate over time;
 /// `controller` is ticked every `tick` with the measured read rate.
 pub fn run_controlled(
@@ -78,85 +116,24 @@ pub fn run_controlled(
     controller: &mut dyn RateController,
     tick: SimDuration,
 ) -> ControlledResult {
-    assert!(tick > SimDuration::ZERO);
-    let mut node = StorageNode::new(&NodeConfig {
+    let cfg = NodeConfig {
         ssd: ssd.clone(),
         discipline: DisciplineKind::Ssq { weight: 1 },
         merge_cap: None,
-    });
-    let mut monitor = WorkloadMonitor::new(SimDuration::from_ms(10));
-    let mut meter = RateMeter::new(SimDuration::from_ms(3));
-    let bin = SimDuration::from_ms(1);
-    let mut res = ControlledResult {
-        read_series: TimeBinSeries::new(bin),
-        write_series: TimeBinSeries::new(bin),
-        weight_changes: Vec::new(),
+    };
+    let mut harness = Harness {
+        events,
+        controller,
+        tick,
+        monitor: WorkloadMonitor::new(SimDuration::from_ms(10)),
+        meter: RateMeter::new(SimDuration::from_ms(3)),
         settle_ms: vec![f64::NAN; events.len()],
     };
-
-    let mut arrivals = ArrivalCursor::new(trace.requests().iter().map(|r| r.arrival));
-    let mut q: EventQueue<Ev> = EventQueue::new();
-    for (i, e) in events.iter().enumerate() {
-        q.schedule(e.at, Ev::Event(i));
+    let report = run_trace_windowed_with_control(&cfg, trace, &mut harness);
+    ControlledResult {
+        weight_changes: report.weight_changes,
+        settle_ms: harness.settle_ms,
     }
-    q.schedule(SimTime::ZERO + tick, Ev::Tick);
-
-    let horizon = trace.span();
-    let mut demanded: Option<(usize, f64)> = None; // (event idx, gbps)
-
-    while let Some((now, next)) = arrivals.pop(q.peek_time(), || q.pop()) {
-        if now > horizon {
-            break;
-        }
-        match next {
-            Next::Arrival(i) => {
-                let r = trace.requests()[i];
-                monitor.observe(&r, now);
-                let step = node.submit(r, now);
-                for (t, e) in step.schedule {
-                    q.schedule(t, Ev::Ssd(e));
-                }
-            }
-            Next::Event(Ev::Ssd(e)) => {
-                let step = node.on_ssd_event(e, now);
-                for c in &step.completions {
-                    match c.op {
-                        IoType::Read => {
-                            res.read_series.add(now, c.size as f64);
-                            meter.push(now, c.size);
-                        }
-                        IoType::Write => res.write_series.add(now, c.size as f64),
-                    }
-                }
-                for (t, e2) in step.schedule {
-                    q.schedule(t, Ev::Ssd(e2));
-                }
-            }
-            Next::Event(Ev::Event(i)) => {
-                demanded = Some((i, events[i].demanded.as_gbps_f64()));
-            }
-            Next::Event(Ev::Tick) => {
-                if let Some((ei, d)) = demanded {
-                    let measured = meter.gbps(now);
-                    // Settle detection.
-                    if res.settle_ms[ei].is_nan() && (measured - d).abs() / d.max(1e-9) < 0.25 {
-                        res.settle_ms[ei] = now.since(events[ei].at).as_ms_f64();
-                    }
-                    let ch = monitor.features(now);
-                    if let Some(w) = controller.control(d, measured, &ch, now) {
-                        node.set_weight_ratio(w);
-                        res.weight_changes.push((now, w));
-                        let step = node.pump(now);
-                        for (t, e2) in step.schedule {
-                            q.schedule(t, Ev::Ssd(e2));
-                        }
-                    }
-                }
-                q.schedule(now + tick, Ev::Tick);
-            }
-        }
-    }
-    res
 }
 
 #[cfg(test)]
@@ -164,7 +141,8 @@ mod tests {
     use super::*;
     use sim_engine::Rate;
     use src_core::algorithm::CongestionKind;
-    use src_core::reactive::{ReactiveConfig, ReactiveController};
+    use src_core::reactive::{ReactiveConfig, ReactiveController, TpmRateController};
+    use src_core::tpm::{ThroughputPredictionModel, TrainingConfig};
     use workload::micro::{generate_micro, MicroConfig};
 
     #[test]
@@ -216,11 +194,8 @@ mod tests {
         assert!(m.gbps(SimTime::from_ms(4)) < 0.01);
     }
 
-    #[test]
-    fn tpm_controller_needs_fewer_actions_than_reactive() {
-        use src_core::reactive::TpmRateController;
-        use src_core::tpm::{ThroughputPredictionModel, TrainingConfig};
-        let ssd = ssd_sim::SsdConfig::ssd_a();
+    /// The trace and congestion event both in-the-loop tests below run.
+    fn micro_setup() -> (Trace, Vec<CongestionEvent>) {
         let trace = generate_micro(
             &MicroConfig {
                 read_iat_mean_us: 8.0,
@@ -238,15 +213,25 @@ mod tests {
             demanded: Rate::from_gbps_f64(0.8),
             kind: CongestionKind::Pause,
         }];
+        (trace, events)
+    }
+
+    fn quick_tpm(ssd: &ssd_sim::SsdConfig) -> std::sync::Arc<ThroughputPredictionModel> {
+        std::sync::Arc::new(ThroughputPredictionModel::train_for_device(
+            ssd,
+            &TrainingConfig::quick(),
+            1,
+        ))
+    }
+
+    #[test]
+    fn tpm_controller_needs_fewer_actions_than_reactive() {
+        let ssd = ssd_sim::SsdConfig::ssd_a();
+        let (trace, events) = micro_setup();
         let tick = SimDuration::from_ms(1);
         let mut reactive = ReactiveController::new(ReactiveConfig::default());
         let rr = run_controlled(&ssd, &trace, &events, &mut reactive, tick);
-        let tpm = std::sync::Arc::new(ThroughputPredictionModel::train_for_device(
-            &ssd,
-            &TrainingConfig::quick(),
-            1,
-        ));
-        let mut tc = TpmRateController::new(tpm, 0.1, 16);
+        let mut tc = TpmRateController::new(quick_tpm(&ssd), 0.1, 16);
         let rt = run_controlled(&ssd, &trace, &events, &mut tc, tick);
         // The paper's Sec. II-C argument: prediction replaces a staircase
         // of reactive corrections.
@@ -257,5 +242,58 @@ mod tests {
             rr.weight_changes.len()
         );
         assert!(!rt.weight_changes.is_empty());
+    }
+
+    #[test]
+    fn controlled_runs_are_pinned_bitwise() {
+        // Recorded from the harness's own queue-driven loop before it was
+        // folded into the storage-node runner. The congestion event and a
+        // wake-up share the 8 ms instant, so both controllers act at 8 ms
+        // only if the event counts as in force there.
+        let ssd = ssd_sim::SsdConfig::ssd_a();
+        let (trace, events) = micro_setup();
+        let tick = SimDuration::from_ms(1);
+        let ps = |r: &ControlledResult| -> Vec<(u64, u32)> {
+            r.weight_changes
+                .iter()
+                .map(|&(t, w)| (t.as_ps(), w))
+                .collect()
+        };
+        let bits = |r: &ControlledResult| -> Vec<u64> {
+            r.settle_ms.iter().map(|x| x.to_bits()).collect()
+        };
+        let one_ms = 1.0f64.to_bits();
+
+        let mut reactive = ReactiveController::new(ReactiveConfig::default());
+        let rr = run_controlled(&ssd, &trace, &events, &mut reactive, tick);
+        let steps = [
+            (8, 2),
+            (10, 1),
+            (17, 2),
+            (18, 3),
+            (19, 4),
+            (20, 5),
+            (21, 6),
+            (22, 7),
+            (23, 8),
+            (24, 7),
+            (25, 6),
+            (26, 5),
+            (27, 4),
+            (28, 3),
+            (30, 2),
+            (32, 1),
+        ];
+        let expect: Vec<(u64, u32)> = steps
+            .iter()
+            .map(|&(ms, w)| (SimTime::from_ms(ms).as_ps(), w))
+            .collect();
+        assert_eq!(ps(&rr), expect);
+        assert_eq!(bits(&rr), vec![one_ms]);
+
+        let mut tc = TpmRateController::new(quick_tpm(&ssd), 0.1, 16);
+        let rt = run_controlled(&ssd, &trace, &events, &mut tc, tick);
+        assert_eq!(ps(&rt), vec![(SimTime::from_ms(8).as_ps(), 3)]);
+        assert_eq!(bits(&rt), vec![one_ms]);
     }
 }

@@ -9,7 +9,7 @@ use src_core::{SrcConfig, SrcController, ThroughputPredictionModel};
 use std::sync::Arc;
 use storage_node::report::NodeReport;
 use storage_node::{run_trace_windowed_with_schedule, DisciplineKind, NodeConfig};
-use workload::{extract_features, Trace};
+use workload::Trace;
 
 /// Result of a scripted run: the node report plus the weight schedule
 /// SRC chose and the measured convergence delay per event.
@@ -144,9 +144,4 @@ pub fn fig9_events(
             kind: k,
         })
         .collect()
-}
-
-/// Feature snapshot of a trace (helper for bench binaries).
-pub fn trace_features(trace: &Trace) -> workload::WorkloadFeatures {
-    extract_features(trace.requests())
 }

@@ -139,9 +139,22 @@ impl TpmAssignment<'_> {
 /// with a seed) or [`RunOptions::assignments`] (a pre-built list), then
 /// chain the setters.
 ///
-/// ```ignore
-/// run_system(&cfg, RunOptions::seeded(7).tpm(tpm), &mut NullSink);
-/// run_system(&cfg, RunOptions::assignments(&a).tpm_fleet(&tpms), &mut sink);
+/// ```no_run
+/// # use std::sync::Arc;
+/// # use sim_engine::{NullSink, TraceSink};
+/// # use src_core::ThroughputPredictionModel;
+/// # use system_sim::config::Assignment;
+/// # use system_sim::{run_system, RunOptions, SystemConfig};
+/// # fn demo(
+/// #     cfg: &SystemConfig,
+/// #     tpm: Arc<ThroughputPredictionModel>,
+/// #     a: &[Assignment],
+/// #     tpms: &[Arc<ThroughputPredictionModel>],
+/// #     sink: &mut dyn TraceSink,
+/// # ) {
+/// run_system(cfg, RunOptions::seeded(7).tpm(tpm), &mut NullSink);
+/// run_system(cfg, RunOptions::assignments(a).tpm_fleet(tpms), sink);
+/// # }
 /// ```
 pub struct RunOptions<'a> {
     source: AssignmentSource<'a>,
