@@ -5,7 +5,7 @@
 //! The fitted representation ([`crate::tree::DecisionTree`]) stores a
 //! 40-byte enum per node (the leaf variant carries a heap `Vec<f64>`)
 //! and every `predict_one` call allocates its output. The flat
-//! representation re-emits each tree into 16-byte packed [`FlatNode`]s
+//! representation re-emits each tree into 16-byte packed `FlatNode`s
 //! — threshold, one child index, and a `u16` feature id with
 //! `u16::MAX` marking a leaf — plus one shared leaf-value slab.
 //! Emission reserves each split's two children as an *adjacent pair*

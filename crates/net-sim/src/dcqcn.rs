@@ -1,5 +1,5 @@
 //! DCQCN (Data Center Quantized Congestion Notification) — the rate
-//! control of Zhu et al., SIGCOMM 2015 [4], as used by the paper.
+//! control of Zhu et al., SIGCOMM 2015 \[4\], as used by the paper.
 //!
 //! Three roles:
 //!

@@ -1,4 +1,4 @@
-//! A packet-level RDMA/RoCE network simulator — the NS3-RDMA [24]
+//! A packet-level RDMA/RoCE network simulator — the NS3-RDMA \[24\]
 //! substitute in this reproduction (see DESIGN.md).
 //!
 //! Pieces:
@@ -7,7 +7,7 @@
 //!   flow-hashed ECMP, and builders for the paper's Clos fabric
 //!   (Sec. IV-A: 4 pods × (2 leaf + 4 ToR) × 64 hosts, 40 Gbps, 1 µs)
 //!   and a single-switch star for the incast scenarios.
-//! * [`dcqcn`] — the DCQCN NP/RP state machines (SIGCOMM'15 [4]).
+//! * [`dcqcn`] — the DCQCN NP/RP state machines (SIGCOMM'15 \[4\]).
 //! * [`network`] — the simulator: host NICs with per-flow token-bucket
 //!   shaping at the DCQCN rate, output-queued switches with RED-style
 //!   ECN marking between Kmin/Kmax, PFC XOFF/XON pause frames with

@@ -461,7 +461,7 @@ impl Network {
     /// sample gauges at event-loop times, so the flush must fire at the
     /// exact deferred-arrival times to keep the event-time lattice —
     /// and therefore every sample timestamp — identical to an
-    /// uncoalesced run. Untraced runs keep [`FLUSH_HORIZON`] and get
+    /// uncoalesced run. Untraced runs keep `FLUSH_HORIZON` and get
     /// the full batching win.
     pub fn set_telemetry(&mut self, on: bool) {
         self.probes.set_enabled(on);

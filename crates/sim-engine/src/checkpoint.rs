@@ -339,8 +339,8 @@ impl ScenarioRunner {
     /// Panics on manifest identity mismatch or corruption (torn tails
     /// excepted — they are truncated and recomputed) and on I/O errors
     /// while appending. Callers that would rather handle manifest
-    /// problems than die use [`try_run_cells_resumable`]
-    /// (`ScenarioRunner::try_run_cells_resumable`).
+    /// problems than die use
+    /// [`ScenarioRunner::try_run_cells_resumable`](Self::try_run_cells_resumable).
     pub fn run_cells_resumable<C, T, F>(
         &self,
         ckpt: Option<&CheckpointSpec>,

@@ -16,16 +16,33 @@
 //!   ~16k on the bench host), where the wheel's slot bookkeeping costs
 //!   more than `log n`.
 //! * [`AdaptiveEventQueue`] — the production queue: starts on the
-//!   binary heap and migrates **once** into the timing wheel when live
-//!   pending crosses [`ADAPTIVE_MIGRATION_THRESHOLD`], preserving every
-//!   already-assigned `(time, seq)` pair so the pop sequence is
-//!   identical to either queue run alone. Simulator event loops drain
+//!   binary heap and migrates **once** into the timing wheel when the
+//!   heap's pending count crosses [`ADAPTIVE_MIGRATION_THRESHOLD`],
+//!   preserving every already-assigned `(time, seq)` pair so the pop
+//!   sequence is identical to either queue run alone. Simulator event loops drain
 //!   through this and get the measured-best structure at every size.
+//!
+//! # The monotone lane
+//!
+//! Some events are armed at `now + d` for a `d` fixed for the whole
+//! run — the system simulator's initiator timeouts are one per request
+//! attempt. The loop's `now` never decreases, so such deadlines arrive
+//! already sorted, and a heap would only pay `log n` to rediscover that
+//! order. [`AdaptiveEventQueue::schedule_monotone`] appends them to a
+//! FIFO lane instead. The contract: every `schedule_monotone` time is
+//! at or after the previous one (checked in debug builds). Lane entries
+//! take their sequence numbers from the same counter as `schedule`, and
+//! `pop` takes the smaller `(time, seq)` of the heap top and the lane
+//! front, so the pop sequence is exactly the one the heap alone would
+//! give. The lane does not count toward the migration threshold, since
+//! its operations are O(1) at any length; a migration drains it into
+//! the wheel with every `(time, seq)` kept, and after that
+//! `schedule_monotone` is a plain wheel `schedule`.
 //!
 //! # Wheel design
 //!
 //! Time is integer picoseconds ([`SimTime`]). The wheel has
-//! [`LEVELS`] = 7 levels of 64 slots; level `l` slots are `64^l` ps
+//! `LEVELS` = 7 levels of 64 slots; level `l` slots are `64^l` ps
 //! wide, so one full rotation covers `64^7 = 2^42` ps ≈ 4.4 s of
 //! simulated time relative to the current wheel position — far beyond
 //! any timer the simulators arm (DCQCN timers are µs-scale, SSD erases
@@ -49,7 +66,7 @@
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A pending event: ordered by `(time, seq)` so that events scheduled at
 /// the same timestamp are delivered in the order they were scheduled.
@@ -437,8 +454,9 @@ impl<E> HeapEventQueue<E> {
     }
 }
 
-/// Live-pending count at which [`AdaptiveEventQueue`] migrates from the
-/// binary heap to the timing wheel. Chosen from the measured heap/wheel
+/// Heap-pending count at which [`AdaptiveEventQueue`] migrates from the
+/// binary heap to the timing wheel; the monotone lane is not counted.
+/// Chosen from the measured heap/wheel
 /// crossover of the hold-model benchmark (`perf_baseline`, see
 /// BENCH_PR10.json): on the reference container the heap wins up to
 /// ~16k pending (cache-resident sift beats cascade bookkeeping) and
@@ -452,7 +470,7 @@ pub const ADAPTIVE_MIGRATION_THRESHOLD: usize = 16_384;
 
 /// Size-adaptive event queue: a [`HeapEventQueue`]-style binary heap
 /// while pending events are few, migrating **once** into the
-/// [`EventQueue`] timing wheel when live pending reaches
+/// [`EventQueue`] timing wheel when the heap's pending count reaches
 /// [`ADAPTIVE_MIGRATION_THRESHOLD`].
 ///
 /// Both underlying queues pop in strict `(time, seq)` order and the
@@ -462,9 +480,16 @@ pub const ADAPTIVE_MIGRATION_THRESHOLD: usize = 16_384;
 /// wheel allocation is retained across [`AdaptiveEventQueue::reset`],
 /// so a workspace-reused queue pays the wheel's slot-table allocation
 /// at most once per worker thread.
+///
+/// Before migration, events armed in nondecreasing time order can skip
+/// the heap through [`AdaptiveEventQueue::schedule_monotone`] (see "The
+/// monotone lane" in the module docs).
 pub struct AdaptiveEventQueue<E> {
     /// Small-regime store (pre-migration).
     heap: BinaryHeap<Reverse<Entry<E>>>,
+    /// Pre-migration FIFO lane of `schedule_monotone` entries, sorted by
+    /// `(time, seq)` because they arrive in that order.
+    lane: VecDeque<Entry<E>>,
     /// Large-regime store, stored inline so post-migration operations
     /// pay no pointer hop — its slot table is one ~10 KB allocation at
     /// construction, retained across `reset` for workspace reuse.
@@ -498,6 +523,7 @@ impl<E> AdaptiveEventQueue<E> {
     pub fn with_threshold(threshold: usize) -> Self {
         AdaptiveEventQueue {
             heap: BinaryHeap::new(),
+            lane: VecDeque::new(),
             wheel: EventQueue::new(),
             on_wheel: false,
             threshold: threshold.max(1),
@@ -507,10 +533,11 @@ impl<E> AdaptiveEventQueue<E> {
         }
     }
 
-    /// Move every heap entry into the wheel, preserving `(time, seq)`.
-    /// The wheel starts positioned at the last popped timestamp — every
-    /// pending entry is at or after it (causality contract), and any
-    /// release-mode violator is clamped exactly as `schedule` clamps.
+    /// Move every heap and lane entry into the wheel, preserving
+    /// `(time, seq)`. The wheel starts positioned at the last popped
+    /// timestamp — every pending entry is at or after it (causality
+    /// contract), and any release-mode violator is clamped exactly as
+    /// `schedule` clamps.
     #[cold]
     fn migrate(&mut self) {
         let wheel = &mut self.wheel;
@@ -518,8 +545,9 @@ impl<E> AdaptiveEventQueue<E> {
         wheel.elapsed = self.last_popped.0;
         wheel.last_popped = self.last_popped;
         wheel.next_seq = self.next_seq;
-        wheel.len = self.heap.len();
-        for Reverse(entry) in self.heap.drain() {
+        wheel.len = self.heap.len() + self.lane.len();
+        let entries = self.heap.drain().map(|Reverse(e)| e);
+        for entry in entries.chain(self.lane.drain(..)) {
             let t = entry.time.0.max(wheel.elapsed);
             wheel.place_at(t, entry);
         }
@@ -553,12 +581,54 @@ impl<E> AdaptiveEventQueue<E> {
         }
     }
 
+    /// Schedule `event` at `at`, which must be no earlier than the time
+    /// of the previous `schedule_monotone` call — a deadline armed at
+    /// `now + d` with `d` fixed for the run qualifies. Before migration
+    /// the event joins the FIFO lane in O(1) instead of the heap; it
+    /// takes the next sequence number exactly as
+    /// [`AdaptiveEventQueue::schedule`] would, so the pop order is the
+    /// same either way. On the wheel this is a plain `schedule`.
+    ///
+    /// # Panics
+    /// In debug builds, panics if `at` is earlier than the most recently
+    /// popped timestamp, or earlier than the lane's latest entry.
+    pub fn schedule_monotone(&mut self, at: SimTime, event: E) {
+        if self.on_wheel {
+            return self.wheel.schedule(at, event);
+        }
+        debug_assert!(
+            at >= self.last_popped,
+            "scheduling into the past: {at:?} < {:?}",
+            self.last_popped
+        );
+        debug_assert!(
+            self.lane.back().is_none_or(|b| at >= b.time),
+            "schedule_monotone out of order: {at:?} < {:?}",
+            self.lane.back().map(|b| b.time)
+        );
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.lane.push_back(Entry {
+            time: at,
+            seq,
+            event,
+        });
+    }
+
     /// Remove and return the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         if self.on_wheel {
             return self.wheel.pop();
         }
-        let Reverse(e) = self.heap.pop()?;
+        let from_lane = match (self.heap.peek(), self.lane.front()) {
+            (Some(Reverse(h)), Some(l)) => l < h,
+            (heap, _) => heap.is_none(),
+        };
+        let e = if from_lane {
+            self.lane.pop_front()?
+        } else {
+            self.heap.pop()?.0
+        };
         self.last_popped = e.time;
         Some((e.time, e.event))
     }
@@ -568,7 +638,12 @@ impl<E> AdaptiveEventQueue<E> {
         if self.on_wheel {
             return self.wheel.peek_time();
         }
-        self.heap.peek().map(|Reverse(e)| e.time)
+        let heap = self.heap.peek().map(|Reverse(e)| e.time);
+        let lane = self.lane.front().map(|e| e.time);
+        match (heap, lane) {
+            (Some(h), Some(l)) => Some(h.min(l)),
+            (h, l) => h.or(l),
+        }
     }
 
     /// Number of pending events.
@@ -576,7 +651,7 @@ impl<E> AdaptiveEventQueue<E> {
         if self.on_wheel {
             return self.wheel.len();
         }
-        self.heap.len()
+        self.heap.len() + self.lane.len()
     }
 
     /// True when no events are pending.
@@ -592,6 +667,7 @@ impl<E> AdaptiveEventQueue<E> {
             return self.wheel.clear();
         }
         self.heap.clear();
+        self.lane.clear();
     }
 
     /// Restore the pristine `AdaptiveEventQueue::new()` observable
@@ -601,6 +677,7 @@ impl<E> AdaptiveEventQueue<E> {
     /// [`EventQueue::reset`].
     pub fn reset(&mut self) {
         self.heap.clear();
+        self.lane.clear();
         self.wheel.reset();
         self.on_wheel = false;
         self.next_seq = 0;
@@ -848,6 +925,15 @@ mod tests {
         assert_eq!(heap.pop(), Some((SimTime::from_us(1), 2u64)));
     }
 
+    #[test]
+    #[should_panic(expected = "schedule_monotone out of order")]
+    #[cfg(debug_assertions)]
+    fn rejects_out_of_order_monotone() {
+        let mut q = AdaptiveEventQueue::new();
+        q.schedule_monotone(SimTime::from_us(10), ());
+        q.schedule_monotone(SimTime::from_us(5), ());
+    }
+
     proptest::proptest! {
         /// Popped timestamps are nondecreasing and equal-time events keep
         /// their insertion order, for arbitrary schedules.
@@ -931,19 +1017,35 @@ mod tests {
         /// heap and the timing wheel — on arbitrary push/pop
         /// interleavings whose pending count wanders across the
         /// migration threshold (small thresholds force the migration to
-        /// happen mid-interleaving, in every offset regime).
+        /// happen mid-interleaving, in every offset regime). Monotone
+        /// ops go through the adaptive queue's lane with nondecreasing
+        /// times that often tie heap entries, and through plain
+        /// `schedule` on both references, so migrations also happen
+        /// while lane entries are pending.
         #[test]
         fn prop_adaptive_matches_both_references(
-            ops in proptest::collection::vec((0u8..8, 0u64..64), 1..400),
+            ops in proptest::collection::vec((0u8..10, 0u64..64), 1..400),
             threshold in 1usize..48,
         ) {
             let mut adaptive = AdaptiveEventQueue::with_threshold(threshold);
             let mut wheel = EventQueue::new();
             let mut heap = HeapEventQueue::new();
             let mut now = SimTime::ZERO;
+            let mut lane_back = SimTime::ZERO;
             let mut next_id = 0u64;
             for &(kind, raw) in &ops {
                 match kind {
+                    // Monotone: at or after both `now` and the lane's
+                    // latest time; small steps so ties are common.
+                    8 | 9 => {
+                        let step = if kind == 8 { raw % 4 } else { raw * 64 };
+                        let t = now.max(lane_back) + SimDuration::from_ps(step);
+                        lane_back = t;
+                        adaptive.schedule_monotone(t, next_id);
+                        wheel.schedule(t, next_id);
+                        heap.schedule(t, next_id);
+                        next_id += 1;
+                    }
                     0..=4 => {
                         let offset = match kind {
                             0 | 1 => raw % 4,

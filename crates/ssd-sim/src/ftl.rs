@@ -1,7 +1,7 @@
 //! Page-mapping flash translation layer with greedy garbage collection.
 //!
 //! Physical layout: every chip owns a pool of blocks of
-//! [`SsdConfig::pages_per_block`] pages. Host writes allocate pages from
+//! [`SsdConfig::pages_per_block`](crate::SsdConfig::pages_per_block) pages. Host writes allocate pages from
 //! the chip's open block (chips are chosen round-robin per write for
 //! striping); overwrites invalidate the previous physical page. When a
 //! chip's free-block count drops to the GC threshold, the block with the

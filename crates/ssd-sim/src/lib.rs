@@ -1,5 +1,5 @@
 //! An MQSim-like NVMe SSD simulator (the paper's storage substrate,
-//! ref [22]).
+//! ref \[22\]).
 //!
 //! The model captures the internals that make the paper's storage-side
 //! rate control work:

@@ -85,7 +85,7 @@ pub struct BackgroundTraffic {
 /// `Static` follows the assignment list (data lives on exactly one
 /// Target). `LeastLoaded` is the extension the paper's Sec. IV-F
 /// proposes for the large-in-cast regime (citing replica-placement work
-/// [29]): data is replicated across Targets and each request goes to the
+/// \[29\]): data is replicated across Targets and each request goes to the
 /// currently least-loaded one, re-concentrating per-Target queues so the
 /// weighted round-robin keeps its authority.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]

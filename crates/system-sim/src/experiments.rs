@@ -849,7 +849,7 @@ pub struct DistributionRow {
 
 /// The paper observes that at a 4:1 in-cast ratio the load spreads so
 /// thin that WRR loses authority, and suggests a data-distribution
-/// mechanism as the remedy (citing replica placement [29]). This
+/// mechanism as the remedy (citing replica placement \[29\]). This
 /// experiment implements that extension: DCQCN-SRC at 4:1, with static
 /// assignment vs least-loaded Target selection.
 pub fn extension_distribution(

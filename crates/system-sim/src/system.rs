@@ -14,7 +14,6 @@ use sim_engine::{
 };
 use src_core::{PredictionCache, SrcController, ThroughputPredictionModel};
 use ssd_sim::SsdEvent;
-use std::collections::HashMap;
 use std::sync::Arc;
 use storage_node::{DisciplineKind, NodeConfig, StorageNode};
 use workload::IoType;
@@ -39,6 +38,9 @@ enum Ev {
     },
     /// Initiator-side timeout check for attempt `attempt` of request
     /// `req` (stale once the request completed or attempted again).
+    /// Armed at `now + timeout` with a timeout fixed for the run, so
+    /// these deadlines come in time order and ride the queue's monotone
+    /// lane ([`AdaptiveEventQueue::schedule_monotone`]), not its heap.
     Timeout {
         req: usize,
         attempt: u32,
@@ -81,6 +83,11 @@ const SAMPLE_BIN: SimDuration = SimDuration(1_000_000_000);
 /// [`SystemReport::abandoned`] (and per Target in
 /// [`SystemReport::per_target_abandoned`]). Latency for a retried
 /// request measures from its last attempt.
+///
+/// The timeout is fixed for the run, so every deadline is armed at or
+/// after the previous one. They ride the event queue's FIFO lane
+/// ([`AdaptiveEventQueue::schedule_monotone`]) instead of its heap, so
+/// one pending timeout per request costs O(1) per event.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RobustnessConfig {
     /// Per-attempt completion deadline at the Initiator.
@@ -431,7 +438,9 @@ fn run_system_inner(
 
     // Flows: a bidirectional pair per (initiator, target).
     let mut out_flows = vec![vec![FlowId(usize::MAX); cfg.n_targets]; cfg.n_initiators];
-    let mut flow_roles: HashMap<FlowId, FlowRole> = HashMap::new();
+    // Indexed by `FlowId.0`: the network numbers flows densely in
+    // `add_flow` order, and every flow is pushed here as it is added.
+    let mut flow_roles: Vec<FlowRole> = Vec::new();
     let mut targets: Vec<TargetState> = Vec::with_capacity(cfg.n_targets);
     for (t_idx, &th) in tgt_hosts.iter().enumerate() {
         let discipline = match cfg.mode {
@@ -455,10 +464,12 @@ fn run_system_inner(
         for (i_idx, &ih) in init_hosts.iter().enumerate() {
             let fo = net.add_flow(ih, th);
             out_flows[i_idx][t_idx] = fo;
-            flow_roles.insert(fo, FlowRole::Outbound);
+            debug_assert_eq!(fo.0, flow_roles.len());
+            flow_roles.push(FlowRole::Outbound);
             let fi = net.add_flow(th, ih);
             in_flows.push(fi);
-            flow_roles.insert(fi, FlowRole::Inbound { target: t_idx });
+            debug_assert_eq!(fi.0, flow_roles.len());
+            flow_roles.push(FlowRole::Inbound { target: t_idx });
         }
         targets.push(TargetState {
             host: th,
@@ -512,7 +523,8 @@ fn run_system_inner(
         );
         for &bh in &bg_hosts {
             let f = net.add_fixed_rate_flow(bh, init_hosts[0], bg.rate_per_source);
-            flow_roles.insert(f, FlowRole::Background);
+            debug_assert_eq!(f.0, flow_roles.len());
+            flow_roles.push(FlowRole::Background);
             bg_flows.push(f);
         }
     }
@@ -567,8 +579,10 @@ fn run_system_inner(
     // Targets currently in a dropout window: commands vanish on
     // arrival and replies are lost.
     let mut dropped: Vec<bool> = vec![false; cfg.n_targets];
-    let tgt_host_index: HashMap<NodeId, usize> =
-        tgt_hosts.iter().enumerate().map(|(i, &h)| (h, i)).collect();
+    let mut is_tgt_host = vec![false; net.topology().n_nodes()];
+    for h in &tgt_hosts {
+        is_tgt_host[h.0] = true;
+    }
 
     // The workspace's scratch buffers drive the hot loop: each event
     // triggers at most one network step (`net_step`); sends issued
@@ -613,7 +627,7 @@ fn run_system_inner(
                 if let Some(rb) = robustness {
                     let req = a.request.id as usize;
                     req_state[req].attempt = 1;
-                    q.schedule(now + rb.timeout, Ev::Timeout { req, attempt: 1 });
+                    q.schedule_monotone(now + rb.timeout, Ev::Timeout { req, attempt: 1 });
                 }
             }
             Next::Event(Ev::Net(nev)) => {
@@ -738,7 +752,7 @@ fn run_system_inner(
                             now,
                         );
                         net.send_into(ws.flow, ws.bytes, ws.tag, now, &mut *net_step);
-                        q.schedule(
+                        q.schedule_monotone(
                             now + rb.timeout,
                             Ev::Timeout {
                                 req,
@@ -758,7 +772,7 @@ fn run_system_inner(
                 q.schedule(t, Ev::Net(e));
             }
             for &host in &step.pauses_received {
-                if tgt_host_index.contains_key(&host) {
+                if is_tgt_host[host.0] {
                     report.pauses_total += 1;
                     report.pause_series.add(now, 1.0);
                 }
@@ -767,11 +781,11 @@ fn run_system_inner(
             // changes, aggregated per target.
             notified.clear();
             for (flow, rate) in &step.rate_changes {
-                if let Some(FlowRole::Inbound { target }) = flow_roles.get(flow) {
+                if let FlowRole::Inbound { target } = flow_roles[flow.0] {
                     report.min_inbound_rate_gbps =
                         report.min_inbound_rate_gbps.min(rate.as_gbps_f64());
-                    if !notified.contains(target) {
-                        notified.push(*target);
+                    if !notified.contains(&target) {
+                        notified.push(target);
                     }
                 }
             }
@@ -806,7 +820,7 @@ fn run_system_inner(
                 }
             }
             for d in &step.deliveries {
-                if matches!(flow_roles.get(&d.flow), Some(FlowRole::Background)) {
+                if matches!(flow_roles[d.flow.0], FlowRole::Background) {
                     continue;
                 }
                 if !d.last {
